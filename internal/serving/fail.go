@@ -115,10 +115,7 @@ func (s *Stepper) Cancel(id int) (Casualty, bool, error) {
 		if r.ID != id {
 			continue
 		}
-		s.pending = append(s.pending[:i], s.pending[i+1:]...)
-		if i < s.intHint {
-			s.intHint--
-		}
+		s.removePending(i)
 		s.countClass(r.Class, &s.pendInteractive, &s.pendBatch, -1)
 		s.kvDemandAll -= r.kvBytes
 		c := Casualty{Request: r.Request, Generated: r.generated}

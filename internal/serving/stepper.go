@@ -381,6 +381,33 @@ func (s *Stepper) enqueue(rr *request) {
 	}
 }
 
+// removePending deletes pending[i], keeping the queue's order, by moving
+// whichever side of i is shorter: the head side shifts right and the slice
+// start advances, or the tail side shifts left. Popping the head is O(1) and
+// any index costs O(min(i, n-i)), so draining a deep preloaded queue is
+// linear rather than quadratic. pending[:i] keeps its indices either way, so
+// intHint only moves when the removed request sat inside the all-batch
+// prefix. The vacated slot is cleared so the backing array does not keep a
+// removed request reachable.
+//
+//papivet:noalloc
+func (s *Stepper) removePending(i int) {
+	p := s.pending
+	n := len(p)
+	if i < n-1-i {
+		copy(p[1:i+1], p[:i])
+		p[0] = nil
+		s.pending = p[1:]
+	} else {
+		copy(p[i:], p[i+1:])
+		p[n-1] = nil
+		s.pending = p[:n-1]
+	}
+	if i < s.intHint {
+		s.intHint--
+	}
+}
+
 // firstInteractive returns the index of the first interactive-class pending
 // request (len(pending) when none), advancing the cached all-batch prefix
 // bound as it skips.
@@ -564,7 +591,7 @@ func (s *Stepper) admit() error {
 				}
 			}
 			// Removing at i == intHint leaves the all-batch prefix intact.
-			s.pending = append(s.pending[:i], s.pending[i+1:]...)
+			s.removePending(i)
 			if err := place(cand); err != nil {
 				return err
 			}
@@ -581,10 +608,7 @@ func (s *Stepper) admit() error {
 			if !s.kvFits(cand) {
 				break
 			}
-			s.pending = s.pending[1:]
-			if s.intHint > 0 {
-				s.intHint--
-			}
+			s.removePending(0)
 			if err := place(cand); err != nil {
 				return err
 			}

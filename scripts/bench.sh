@@ -27,6 +27,9 @@ cd "$(dirname "$0")/.."
         -bench 'BenchmarkCapacitySweep|BenchmarkScenarios|BenchmarkServingIteration|BenchmarkKVBlockStore|BenchmarkResilience|BenchmarkTieredMacroStep' \
         -benchmem -benchtime "${BENCHTIME:-50x}" "$@" .
     go test -run '^$' -bench 'BenchmarkMillionRequest' -benchmem -benchtime 1x "$@" .
+    # Layer benchmarks live in their own packages. One pass of the
+    # 60k-request admission stream takes about a second, hence the low count.
+    go test -run '^$' -bench 'BenchmarkStreamAdmission' -benchmem -benchtime 3x "$@" ./internal/serving
 } \
     | tee /dev/stderr \
     | go run ./cmd/benchjson > "BENCH_PR${PR}.json"
