@@ -470,9 +470,9 @@ type fleetRun struct {
 	// a replica's own stepping can interact with it — the bound a replica's
 	// fast-path macro-stepping must not cross (see Stepper.SetHorizon). The
 	// default bounds by the kernel's next pending event, which is always
-	// safe: new events are only scheduled at or after it. Run tightens this
-	// to the next unfired arrival (and, when autoscaling, the next control
-	// tick), since open-loop step events never touch other replicas.
+	// safe: new events are only scheduled at or after it. RunSeq tightens
+	// this to the next unfired arrival (and, when autoscaling, the next
+	// control tick), since open-loop step events never touch other replicas.
 	horizon func() units.Seconds
 	// sharded moves replica step events off the kernel: between kernel
 	// events (the fleet-level synchronization barriers) every armed replica
@@ -786,15 +786,6 @@ func (r *fleetRun) route(req workload.Request, now units.Seconds) *Replica {
 	return rep
 }
 
-// finish drains the run and aggregates fleet metrics over want requests.
-func (r *fleetRun) finish(want int) (*FleetResult, error) {
-	r.drain()
-	if r.err != nil {
-		return nil, r.err
-	}
-	return aggregate(r, want)
-}
-
 // drain runs the simulation to completion. Serial runs simply drain the
 // kernel — replica steps are kernel events. Sharded runs alternate: every
 // kernel event (arrival, control tick, replica activation, fault edge,
@@ -980,79 +971,31 @@ func (p *shardPool) dispatch(reps []*Replica) {
 func (p *shardPool) close() { close(p.jobs) }
 
 // Run consumes the request stream to completion and returns fleet metrics.
-// It may be called once per Cluster.
+// It may be called once per Cluster. It is RunSeq over a copy of the stream
+// sorted stably by arrival, so simultaneous arrivals route in stream order
+// and precede step events at the same instant.
 func (c *Cluster) Run(reqs []workload.Request) (*FleetResult, error) {
-	if c.ran {
-		return nil, fmt.Errorf("cluster: Run may only be called once per cluster")
-	}
-	if len(reqs) == 0 {
-		return nil, fmt.Errorf("cluster: empty request stream")
-	}
-	c.ran = true
-
-	r, err := c.newFleetRun()
-	if err != nil {
-		return nil, err
-	}
-	r.shard()
-
-	// Arrivals are scheduled up front in stream order, so simultaneous
-	// arrivals route in a deterministic order and always precede step
-	// events at the same instant.
 	stream := append([]workload.Request(nil), reqs...)
 	sort.SliceStable(stream, func(i, j int) bool { return stream[i].Arrival < stream[j].Arrival })
-
-	// Open-loop runs only interact across replicas at arrivals (the router
-	// reads fleet state, the chosen replica gains a request) and — when
-	// autoscaling — at control ticks (the scaler reads every replica's
-	// signals), and both kinds of instant are known ahead — so a replica may
-	// macro-step up to the earlier of the next unfired arrival and the next
-	// tick, not merely the kernel's next event, which would throttle
-	// fast-forwarding to the other replicas' step cadence.
-	arrivals := make([]units.Seconds, len(stream))
-	fired := 0
-	if r.resil == nil {
-		// With the failure machinery armed this tightening is unsound:
-		// fault edges, timeouts, and retry re-injections are kernel events
-		// between arrivals, so macro-stepping must stay bounded by the
-		// kernel's next pending event (the default horizon).
-		r.horizon = func() units.Seconds {
-			h := r.nextTick
-			if fired < len(arrivals) && arrivals[fired] < h {
-				h = arrivals[fired]
-			}
-			return h
+	i := 0
+	return c.RunSeq(func() (workload.Request, bool) {
+		if i == len(stream) {
+			return workload.Request{}, false
 		}
-	}
-	for i := range stream {
-		req := stream[i]
-		// A negative arrival means "already waiting at start", as in the
-		// single-engine path; the kernel cannot schedule before time zero.
-		at := req.Arrival
-		if at < 0 {
-			at = 0
-		}
-		arrivals[i] = at
-		r.kernel.At(at, func(now units.Seconds) {
-			fired++
-			if r.err != nil {
-				return
-			}
-			r.route(req, now)
-		})
-	}
-
-	return r.finish(len(reqs))
+		i++
+		return stream[i-1], true
+	})
 }
 
 // RunSeq consumes a lazily generated open-loop request stream to
 // completion: next is called once per request, in arrival order
-// (non-decreasing arrivals; a negative arrival clamps to 0, as in Run),
-// until it reports no more. Only one lookahead arrival is ever buffered, so
-// a million-request run pays no per-request memory up front — the fleet
-// companion to workload.Scenario.Each. RunSeq shares Run's semantics,
-// including the sharded barrier driver, and may be called once per
-// Cluster, in place of Run.
+// (non-decreasing arrivals; a negative arrival, already waiting at start,
+// clamps to 0), until it reports no more. Only one lookahead arrival is
+// ever buffered, so a million-request run pays no per-request memory up
+// front — the fleet companion to workload.Scenario.Each. Simultaneous
+// arrivals all route before any step event at their instant. Run is RunSeq
+// over a sorted slice. RunSeq may be called once per Cluster, in place of
+// Run; a rejected empty stream leaves the cluster runnable.
 func (c *Cluster) RunSeq(next func() (workload.Request, bool)) (*FleetResult, error) {
 	if c.ran {
 		return nil, fmt.Errorf("cluster: Run may only be called once per cluster")
@@ -1060,6 +1003,12 @@ func (c *Cluster) RunSeq(next func() (workload.Request, bool)) (*FleetResult, er
 	if next == nil {
 		return nil, fmt.Errorf("cluster: nil request source")
 	}
+	// Pull the first request before claiming the cluster, so a rejected
+	// empty stream leaves it runnable.
+	first, ok := next()
+	if !ok {
+		return nil, fmt.Errorf("cluster: empty request stream")
+	}
 	c.ran = true
 
 	r, err := c.newFleetRun()
@@ -1068,55 +1017,56 @@ func (c *Cluster) RunSeq(next func() (workload.Request, bool)) (*FleetResult, er
 	}
 	r.shard()
 
-	// The macro-stepping horizon mirrors Run's: open-loop replicas interact
-	// only at arrivals and control ticks, and with one lookahead arrival
-	// buffered the next arrival instant is always known.
+	// Open-loop replicas interact only at arrivals and control ticks, and
+	// with one lookahead arrival buffered the next arrival instant is always
+	// known, so a replica may macro-step up to the earlier of the two rather
+	// than to the kernel's next event. Fault edges, timeouts and retry
+	// re-injections are kernel events between arrivals, so a run with the
+	// failure machinery armed keeps the default horizon.
 	nextArrival := units.Seconds(math.Inf(1))
 	if r.resil == nil {
-		r.horizon = func() units.Seconds {
-			h := r.nextTick
-			if nextArrival < h {
-				h = nextArrival
-			}
-			return h
-		}
+		r.horizon = func() units.Seconds { return min(r.nextTick, nextArrival) }
 	}
 
 	total := 0
-	lastAt := units.Seconds(math.Inf(-1))
-	var schedule func(req workload.Request)
-	schedule = func(req workload.Request) {
-		at := req.Arrival
-		if at < 0 {
-			at = 0
-		}
-		if at < lastAt {
-			r.err = fmt.Errorf("cluster: request %d arrives at %v, before its predecessor at %v; RunSeq needs arrival order",
-				req.ID, at, lastAt)
-			return
-		}
-		lastAt = at
+	var schedule func(req workload.Request, at units.Seconds)
+	schedule = func(req workload.Request, at units.Seconds) {
 		total++
 		nextArrival = at
 		r.kernel.At(at, func(now units.Seconds) {
-			// Pull the successor before routing, so the horizon and the
-			// barrier schedule always cover the next arrival.
-			if follow, more := next(); more {
-				schedule(follow)
-			} else {
-				nextArrival = units.Seconds(math.Inf(1))
+			// One event routes every arrival at this instant, so all of
+			// them precede the step events they arm — the order sharded
+			// runs give them too (steps run strictly below the barrier).
+			// Each successor is pulled before the request ahead of it is
+			// routed, so the horizon and the barrier schedule always cover
+			// the next arrival. The loop walks its own copy of req, so the
+			// closure captures req by value (no per-arrival heap box).
+			req := req
+			for {
+				follow, more := next()
+				followAt := max(follow.Arrival, 0)
+				switch {
+				case !more:
+					nextArrival = units.Seconds(math.Inf(1))
+				case followAt < at:
+					r.err = fmt.Errorf("cluster: request %d arrives at %v, before its predecessor at %v; RunSeq needs arrival order",
+						follow.ID, followAt, at)
+				case followAt > at:
+					schedule(follow, followAt)
+				}
+				if r.err != nil {
+					return
+				}
+				r.route(req, now)
+				if !more || followAt > at {
+					return
+				}
+				total++
+				req = follow
 			}
-			if r.err != nil {
-				return
-			}
-			r.route(req, now)
 		})
 	}
-	first, ok := next()
-	if !ok {
-		return nil, fmt.Errorf("cluster: empty request stream")
-	}
-	schedule(first)
+	schedule(first, max(first.Arrival, 0))
 
 	// The stream keeps growing while the kernel drains (each arrival pulls
 	// its successor), so the ledger total is only known afterwards.
@@ -1299,5 +1249,9 @@ func (c *Cluster) RunPlan(convs []workload.Conversation) (*FleetResult, error) {
 		})
 	}
 
-	return r.finish(workload.TotalTurns(convs))
+	r.drain()
+	if r.err != nil {
+		return nil, r.err
+	}
+	return aggregate(r, workload.TotalTurns(convs))
 }

@@ -199,8 +199,9 @@ func TestRunPlanRejectsShards(t *testing.T) {
 	}
 }
 
-// TestRunSeqMatchesRun: the lazy one-lookahead stream driver is the same
-// simulation as the up-front slice driver, serial and sharded.
+// TestRunSeqMatchesRun: the lazy one-lookahead stream driver fed the stream
+// directly is the same simulation as the serial sorted-slice Run, serial
+// and sharded.
 func TestRunSeqMatchesRun(t *testing.T) {
 	reqs := tieredStream(t, 96, 29)
 	build := func(shards int) *Cluster {
@@ -232,8 +233,38 @@ func TestRunSeqMatchesRun(t *testing.T) {
 	}
 }
 
+// TestRunTiedArrivals: simultaneous arrivals (here every arrival at 0, as
+// papiserve -rate 0 generates) all route before any replica steps, so each
+// replica's first iteration admits its whole share, and the serial run
+// matches the sharded one.
+func TestRunTiedArrivals(t *testing.T) {
+	reqs := workload.GeneralQA().Generate(8, 1)
+	var runs []*FleetResult
+	for _, shards := range []int{1, 4} {
+		opt := testOptions(2, LeastOutstanding())
+		opt.Shards = shards
+		c, err := New(func() *core.System { return core.NewPAPI(0) }, model.LLaMA65B(), opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, err := c.Run(reqs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, rep := range f.Replicas {
+			if n := len(rep.Requests); n == 0 || len(rep.RLPTrace) == 0 || rep.RLPTrace[0] != n {
+				t.Errorf("shards %d replica %d: first iteration RLP %v, want all %d arrivals at 0",
+					shards, i, rep.RLPTrace[:min(1, len(rep.RLPTrace))], n)
+			}
+		}
+		runs = append(runs, f)
+	}
+	diffFleet(t, "tied arrivals", runs[0], runs[1])
+}
+
 // TestRunSeqValidation: a nil source, an empty stream, and an out-of-order
-// arrival are errors, and the arrival-order error does not hang the drain.
+// arrival are errors, a rejected empty stream leaves the cluster runnable,
+// and the arrival-order error does not hang the drain.
 func TestRunSeqValidation(t *testing.T) {
 	build := func() *Cluster {
 		c, err := New(func() *core.System { return core.NewPAPI(0) }, model.LLaMA65B(), testOptions(2, nil))
@@ -245,22 +276,32 @@ func TestRunSeqValidation(t *testing.T) {
 	if _, err := build().RunSeq(nil); err == nil {
 		t.Error("nil source should fail")
 	}
-	if _, err := build().RunSeq(func() (workload.Request, bool) { return workload.Request{}, false }); err == nil {
+	c := build()
+	if _, err := c.RunSeq(func() (workload.Request, bool) { return workload.Request{}, false }); err == nil {
 		t.Error("empty stream should fail")
+	}
+	seq := func(reqs []workload.Request) func() (workload.Request, bool) {
+		i := 0
+		return func() (workload.Request, bool) {
+			if i >= len(reqs) {
+				return workload.Request{}, false
+			}
+			i++
+			return reqs[i-1], true
+		}
+	}
+	// A validation failure must not consume the single-use cluster.
+	if _, err := c.RunSeq(seq(workload.GeneralQA().Generate(4, 1))); err != nil {
+		t.Errorf("run after rejected empty stream: %v", err)
+	}
+	if _, err := c.RunSeq(seq(workload.GeneralQA().Generate(4, 1))); err == nil {
+		t.Error("second completed RunSeq should fail")
 	}
 	backwards := []workload.Request{
 		{ID: 0, InputLen: 16, OutputLen: 4, Arrival: 2},
 		{ID: 1, InputLen: 16, OutputLen: 4, Arrival: 1},
 	}
-	i := 0
-	_, err := build().RunSeq(func() (workload.Request, bool) {
-		if i >= len(backwards) {
-			return workload.Request{}, false
-		}
-		i++
-		return backwards[i-1], true
-	})
-	if err == nil {
+	if _, err := build().RunSeq(seq(backwards)); err == nil {
 		t.Error("out-of-order arrivals should fail")
 	}
 }

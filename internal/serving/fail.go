@@ -23,8 +23,8 @@ func (p Perturbation) active() bool { return p.Slow > 1 || p.Attn > 1 }
 // SetPerturbation installs (or, with the zero value, clears) the engine's
 // latency perturbation. The cluster fault injector calls this at window
 // edges; while a perturbation is active the stepper prices every iteration
-// individually (macro-stepping is suspended) so the stretch lands on the
-// exact iterations inside the window.
+// individually (every macro window closes after one iteration) so the
+// stretch lands on the exact iterations inside the window.
 func (s *Stepper) SetPerturbation(p Perturbation) {
 	s.perturb = p
 	s.perturbed = p.active()

@@ -49,35 +49,38 @@ func TestPerturbationInertIsNoOp(t *testing.T) {
 
 // An active perturbation must price identically on both decode paths — the
 // stretch is computed from per-iteration deltas that are themselves
-// bit-identical across paths — and must actually slow the run down.
+// bit-identical across paths — and must actually slow the run down, with and
+// without speculative decoding.
 func TestPerturbationFastMatchesReference(t *testing.T) {
 	reqs := workload.GeneralQA().Poisson(12, 30, 5)
-	run := func(mode FastPathMode, p Perturbation) Result {
-		opt := DefaultOptions(1)
-		opt.FastPath = mode
-		e := mustEngine(t, core.NewPAPI(0), model.LLaMA65B(), opt)
-		st, err := e.NewStreamStepper(reqs, 8)
-		if err != nil {
-			t.Fatal(err)
+	for _, tlp := range []int{1, 4} {
+		run := func(mode FastPathMode, p Perturbation) Result {
+			opt := DefaultOptions(tlp)
+			opt.FastPath = mode
+			e := mustEngine(t, core.NewPAPI(0), model.LLaMA65B(), opt)
+			st, err := e.NewStreamStepper(reqs, 8)
+			if err != nil {
+				t.Fatal(err)
+			}
+			st.SetPerturbation(p)
+			return driveToDrain(t, st)
 		}
-		st.SetPerturbation(p)
-		return driveToDrain(t, st)
-	}
-	p := Perturbation{Slow: 2, Attn: 1.5}
-	fast := run(FastPathOn, p)
-	ref := run(FastPathOff, p)
-	if !reflect.DeepEqual(fast, ref) {
-		t.Fatalf("perturbed fast path diverged from reference:\nfast %+v\nref  %+v", fast, ref)
-	}
-	base := run(FastPathOn, Perturbation{})
-	if fast.DecodeTime <= base.DecodeTime {
-		t.Fatalf("perturbed decode %v not slower than baseline %v", fast.DecodeTime, base.DecodeTime)
-	}
-	if fast.PrefillTime <= base.PrefillTime {
-		t.Fatalf("straggler prefill %v not slower than baseline %v", fast.PrefillTime, base.PrefillTime)
-	}
-	if fast.Breakdown.Other <= base.Breakdown.Other {
-		t.Fatal("straggler surcharge not booked under Breakdown.Other")
+		p := Perturbation{Slow: 2, Attn: 1.5}
+		fast := run(FastPathOn, p)
+		ref := run(FastPathOff, p)
+		if !reflect.DeepEqual(fast, ref) {
+			t.Fatalf("tlp=%d: perturbed fast path diverged from reference:\nfast %+v\nref  %+v", tlp, fast, ref)
+		}
+		base := run(FastPathOn, Perturbation{})
+		if fast.DecodeTime <= base.DecodeTime {
+			t.Fatalf("tlp=%d: perturbed decode %v not slower than baseline %v", tlp, fast.DecodeTime, base.DecodeTime)
+		}
+		if fast.PrefillTime <= base.PrefillTime {
+			t.Fatalf("tlp=%d: straggler prefill %v not slower than baseline %v", tlp, fast.PrefillTime, base.PrefillTime)
+		}
+		if fast.Breakdown.Other <= base.Breakdown.Other {
+			t.Fatalf("tlp=%d: straggler surcharge not booked under Breakdown.Other", tlp)
+		}
 	}
 }
 

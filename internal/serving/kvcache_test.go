@@ -87,6 +87,9 @@ func TestKVShadowEquivalence(t *testing.T) {
 // TestKVSharingFastPathEquivalence extends the fast-path contract to
 // sharing-on runs: block adoption, tier transfers and re-prefill accounting
 // must price identically on the macro-stepped and the reference decode loop.
+// The preemptive tiered stream reaches the one regime with no sound window
+// bound (tiered, sharing, pending queue), where every window is one
+// iteration; its guards keep that case from passing vacuously.
 func TestKVSharingFastPathEquivalence(t *testing.T) {
 	static := kvWorkload(10, 0, 3)
 	stream := kvWorkload(14, 30, 5)
@@ -109,6 +112,19 @@ func TestKVSharingFastPathEquivalence(t *testing.T) {
 						sys.Name, tlp, isStatic, fast, ref)
 				}
 			}
+		}
+	}
+
+	preemptive := &kv.Options{BlockTokens: 32, Sharing: true, ColdFactor: 2}
+	for _, tlp := range []int{1, 4} {
+		fast, ref := runSaturated(t, tlp, preemptive)
+		if fast.Preemptions == 0 || fast.KV.DemotedBlocks == 0 {
+			t.Errorf("tlp=%d: preemptive sharing stream parked nothing (%d preemptions, %d demoted blocks) — the pin is vacuous",
+				tlp, fast.Preemptions, fast.KV.DemotedBlocks)
+		}
+		if !reflect.DeepEqual(fast, ref) {
+			t.Errorf("preemptive tiered tlp=%d: sharing run diverged between decode paths\n fast: %+v\n  ref: %+v",
+				tlp, fast, ref)
 		}
 	}
 }
@@ -180,20 +196,6 @@ func TestKVConversationResume(t *testing.T) {
 // re-admission promotes state back instead of re-prefilling it, strictly
 // beating the discard-and-recompute regime on re-prefilled tokens.
 func TestKVParkResume(t *testing.T) {
-	// Saturate GPT-3 175B's pool with batch work, then force evictions with
-	// interactive arrivals (the shape of TestStepperInvariantsUnderPreemption).
-	build := func() []workload.Request {
-		var reqs []workload.Request
-		for i := 0; i < 60; i++ {
-			reqs = append(reqs, workload.Request{ID: i, InputLen: 2048, OutputLen: 2048,
-				Class: workload.ClassBatch})
-		}
-		for i := 0; i < 12; i++ {
-			reqs = append(reqs, workload.Request{ID: 60 + i, InputLen: 2048, OutputLen: 64,
-				Arrival: units.Seconds(0.5 + 0.5*float64(i)), Class: workload.ClassInteractive})
-		}
-		return reqs
-	}
 	run := func(kvo *kv.Options) Result {
 		opt := DefaultOptions(1)
 		opt.KV = kvo
@@ -201,7 +203,7 @@ func TestKVParkResume(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := eng.RunContinuous(build(), 96)
+		res, err := eng.RunContinuous(saturatedTiered(), 96)
 		if err != nil {
 			t.Fatal(err)
 		}

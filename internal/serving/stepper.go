@@ -85,7 +85,8 @@ type Stepper struct {
 	// Outstanding-per-class counters (pending + active), maintained on push,
 	// finish and — pending-only — admit/evict. A stream is "tiered" while
 	// both classes are outstanding: admission is then priority-aware and
-	// macro-stepping falls back to single-iteration stepping (see Step).
+	// macro windows are bounded by class-boundary events (see
+	// macroArrivalBound).
 	pendInteractive, pendBatch int
 	actInteractive, actBatch   int
 
@@ -116,7 +117,8 @@ type Stepper struct {
 
 	// perturb is the fault injector's latency perturbation (see
 	// SetPerturbation); perturbed caches whether it is active, because the
-	// check sits on the per-iteration hot path and disables macro-stepping.
+	// check sits on the per-iteration hot path and closes every macro window
+	// after one iteration.
 	perturb   Perturbation
 	perturbed bool
 	// failed marks a crashed replica's stepper: Fail was called, every
@@ -733,14 +735,14 @@ func (s *Stepper) preemptFor(cand *request, xt *units.Seconds, xe *units.Joules)
 // stepper drained.
 //
 // On the fast path, one Step may macro-step a whole run of iterations (see
-// macroStep and macroStepSpec); the stepper accounts for every arrival
-// already in its pending queue, so RunBatch/RunContinuous-style drivers are
-// unaffected. A caller that instead injects arrivals incrementally with
-// Push between Step calls must bound each call with SetHorizon(t) — t being
-// the earliest instant it might push — or build the engine with
-// FastPathOff; otherwise a macro-step can overshoot the instant the caller
-// meant to inject at, admitting the request later than single-stepping
-// would. internal/cluster does exactly this with its event-kernel horizon.
+// macroStep); the stepper accounts for every arrival already in its pending
+// queue, so RunBatch/RunContinuous-style drivers are unaffected. A caller
+// that instead injects arrivals incrementally with Push between Step calls
+// must bound each call with SetHorizon(t) — t being the earliest instant it
+// might push — or build the engine with FastPathOff; otherwise a macro-step
+// can overshoot the instant the caller meant to inject at, admitting the
+// request later than single-stepping would. internal/cluster does exactly
+// this with its event-kernel horizon.
 func (s *Stepper) Step() (StepInfo, error) {
 	if s.failed {
 		return StepInfo{Kind: StepDrained}, nil
@@ -787,27 +789,14 @@ func (s *Stepper) Step() (StepInfo, error) {
 
 	s.ensureTraces()
 
-	// The fast path fast-forwards whole runs of identical-RLP iterations.
+	// The fast path runs every iteration inside a macro window (macroStep).
 	// macroArrivalBound computes the earliest instant an admission or
 	// preemption could change the active batch — queue-head arrival for a
 	// single class, the earliest class-boundary event for tiered streams —
 	// and the window never crosses it, so macro-stepping covers priority
-	// streams too. TLP = 1 commits are deterministic (one token per request
-	// per iteration), so the window's interior needs no commit walk at all
-	// (macroStep); speculative decoding (TLP > 1) keeps the per-iteration
-	// acceptance sampling and commit walk but skips the per-iteration
-	// decide/admit work and lets the caller run the window in one event
-	// (macroStepSpec). Perturbed steppers (straggler/brownout windows)
-	// single-step: the stretch is priced per iteration, and a window edge
-	// may land on any iteration boundary. So does the one regime where no
-	// sound window bound exists — see macroArrivalBound's ok = false.
-	if s.eng.fastPath && !s.perturbed {
-		if bound, ok := s.macroArrivalBound(); ok {
-			if s.eng.Opt.TLP == 1 {
-				return s.macroStep(bound)
-			}
-			return s.macroStepSpec(bound)
-		}
+	// streams too.
+	if s.eng.fastPath {
+		return s.macroStep(s.macroArrivalBound())
 	}
 
 	ev := s.scheduler.Decide()
@@ -815,18 +804,36 @@ func (s *Stepper) Step() (StepInfo, error) {
 	if s.perturbed {
 		pre = s.res.Breakdown
 	}
-	var it IterationStat
-	if s.eng.fastPath {
-		it = s.eng.runIterationFast(len(s.active), s.kvSum, ev, &s.res)
-	} else {
-		it = s.eng.runIteration(s.active, ev, &s.res)
-	}
+	it := s.eng.runIteration(s.active, ev, &s.res)
 	if s.perturbed {
 		s.stretch(&it, pre)
 	}
+	s.tick(it)
+
+	// Commit tokens and count <|eos|> (§5.2.2 steps 1–2).
+	info := StepInfo{Kind: StepIteration}
+	if err := s.commitWalk(&it, &info); err != nil {
+		return StepInfo{}, err
+	}
+	if len(s.res.IterStats) < traceCap {
+		s.res.IterStats = append(s.res.IterStats, it)
+	}
+	info.Iteration = it
+	if err := s.scheduler.ObserveEOS(info.Completed); err != nil {
+		return StepInfo{}, err
+	}
+	if info.Completed > 0 {
+		s.active = live(s.active)
+	}
+	return info, nil
+}
+
+// tick accounts one priced iteration: the iteration count, the RLP trace
+// and the clock.
+func (s *Stepper) tick(it IterationStat) {
 	s.res.Iterations++
 	if len(s.res.RLPTrace) < traceCap {
-		s.res.RLPTrace = append(s.res.RLPTrace, len(s.active))
+		s.res.RLPTrace = append(s.res.RLPTrace, it.RLP)
 	}
 	if s.static {
 		// Recompute rather than accumulate so the clock matches the summed
@@ -835,10 +842,14 @@ func (s *Stepper) Step() (StepInfo, error) {
 	} else {
 		s.clock += it.Time
 	}
+}
 
-	// Commit tokens and count <|eos|> (§5.2.2 steps 1–2).
-	info := StepInfo{Kind: StepIteration}
-	eos := 0
+// commitWalk is the reference commit walk of one iteration: every active
+// request commits its tokens (commitTokens draws the speculative acceptance
+// samples, so the active order is part of the bit-identical contract), its
+// lease grows, its metrics observe the iteration ending at the clock, and
+// finishers retire into info.
+func (s *Stepper) commitWalk(it *IterationStat, info *StepInfo) error {
 	for _, r := range s.active {
 		committed := s.eng.commitTokens(r)
 		s.res.Tokens += committed
@@ -846,39 +857,40 @@ func (s *Stepper) Step() (StepInfo, error) {
 		s.kvSum += committed
 		if s.kvStore != nil {
 			if err := s.kvStore.Extend(r.lease, r.contextLen()); err != nil {
-				return StepInfo{}, err
+				return err
 			}
 		}
-		epoch := units.Seconds(0)
-		if !s.static {
-			epoch = r.Arrival
-		}
-		s.tracker.observe(r, committed, s.clock, epoch)
+		s.tracker.observe(r, committed, s.clock, s.epoch(r))
 		if r.done {
-			eos++
-			info.Finished = append(info.Finished, r.Request)
-			s.kvSum -= r.InputLen + r.generated
-			s.kvDemandAll -= r.kvBytes
-			s.kvDemandActive -= r.kvBytes
-			s.countClass(r.Class, &s.actInteractive, &s.actBatch, -1)
-			if s.kvStore != nil {
-				s.kvStore.Commit(r.lease)
-			}
+			s.retire(r, info)
 		}
 	}
-	if len(s.res.IterStats) < traceCap {
-		s.res.IterStats = append(s.res.IterStats, it)
+	return nil
+}
+
+// epoch is the instant a request's latencies are measured from: run start
+// for a static batch, its arrival for a stream.
+func (s *Stepper) epoch(r *request) units.Seconds {
+	if s.static {
+		return 0
 	}
-	if err := s.scheduler.ObserveEOS(eos); err != nil {
-		return StepInfo{}, err
+	return r.Arrival
+}
+
+// retire books a finished request into info and releases what it held: its
+// KV length, KV demand and class count leave the active totals, and its
+// lease commits its blocks. It is the one place that decides what a finish
+// releases.
+func (s *Stepper) retire(r *request, info *StepInfo) {
+	info.Completed++
+	info.Finished = append(info.Finished, r.Request)
+	s.kvSum -= r.InputLen + r.generated
+	s.kvDemandAll -= r.kvBytes
+	s.kvDemandActive -= r.kvBytes
+	s.countClass(r.Class, &s.actInteractive, &s.actBatch, -1)
+	if s.kvStore != nil {
+		s.kvStore.Commit(r.lease)
 	}
-	info.Iteration = it
-	info.Completed = eos
-	// Drop finished requests from the active set to release KV capacity.
-	if eos > 0 {
-		s.active = live(s.active)
-	}
-	return info, nil
 }
 
 // ensureTraces pre-sizes the per-iteration traces — the decode loop's only
@@ -909,8 +921,10 @@ func (s *Stepper) ensureTraces() {
 // window). Ending a window early is always safe — the next Step re-runs
 // admit for real — so every bound here may be conservative; the invariant
 // is only that the window never fast-forwards past a boundary the
-// reference path would have acted on. ok = false means no sound bound
-// exists and the caller must single-step.
+// reference path would have acted on. −Inf means no sound bound exists:
+// the window closes after one iteration. A perturbed stepper (straggler or
+// brownout) always gets −Inf: the stretch is priced per iteration and the
+// multiplier may lapse at any iteration boundary.
 //
 // Single-class streams keep PR 3's head-of-line rule: the window pauses
 // once the queue head is admissible (from its arrival onward every
@@ -923,31 +937,34 @@ func (s *Stepper) ensureTraces() {
 // preemption stays infeasible. Under block sharing that argument fails for
 // tiered streams (interior lease growth moves CommittedBlocks and
 // ParkGain, so a preemption trigger can arm mid-window) — that is the one
-// ok = false regime.
+// −Inf regime.
 //
 //papivet:noalloc
-func (s *Stepper) macroArrivalBound() (units.Seconds, bool) {
+func (s *Stepper) macroArrivalBound() units.Seconds {
+	if s.perturbed {
+		return units.Seconds(math.Inf(-1))
+	}
 	inf := units.Seconds(math.Inf(1))
 	// Static batches never admit; streams with an empty queue have nothing
 	// to admit before the horizon (Push is fenced by SetHorizon).
 	if s.static || len(s.pending) == 0 {
-		return inf, true
+		return inf
 	}
 	if !s.tiered() {
 		head := s.pending[0]
 		if len(s.active) < s.maxBatch && s.kvFits(head) {
-			return head.readyAt, true
+			return head.readyAt
 		}
-		return inf, true
+		return inf
 	}
 	if s.kvShare {
-		return 0, false
+		return units.Seconds(math.Inf(-1))
 	}
 	// Tiered, byte ledger. With the batch full, neither admission phase nor
 	// preemption (which only runs while placing an interactive into a free
 	// slot) can act before a finish.
 	if len(s.active) >= s.maxBatch {
-		return inf, true
+		return inf
 	}
 	// An admissible batch head bounds the window at its arrival (which may
 	// already have passed — admit's prefill can advance the clock over it;
@@ -957,7 +974,7 @@ func (s *Stepper) macroArrivalBound() (units.Seconds, bool) {
 	// and the head cannot change inside a window — but an interactive
 	// behind it still can, so keep looking.
 	if head := s.pending[0]; head.Class == workload.ClassBatch && s.kvFits(head) {
-		return head.readyAt, true
+		return head.readyAt
 	}
 	// The earliest pending interactive decides the rest: the queue is
 	// readyAt-ordered and phase-one admission is FIFO within the tier, so
@@ -969,12 +986,12 @@ func (s *Stepper) macroArrivalBound() (units.Seconds, bool) {
 		if i := s.firstInteractive(); i < len(s.pending) {
 			r := s.pending[i]
 			if s.kvFits(r) || s.preemptFeasible(r) {
-				return r.readyAt, true
+				return r.readyAt
 			}
-			return inf, true
+			return inf
 		}
 	}
-	return inf, true
+	return inf
 }
 
 // preemptFeasible reports whether evicting every active batch-class request
@@ -993,206 +1010,125 @@ func (s *Stepper) preemptFeasible(cand *request) bool {
 	return s.kvDemandActive-evictable+cand.kvBytes <= s.eng.Sys.KVCapacity()
 }
 
-// macroStep is the fast path's TLP = 1 macro-stepping: it fast-forwards a
-// run of identical-RLP iterations inside one Step call, bounded by the
-// earliest finish, the caller-computed admission bound (macroArrivalBound),
-// and the horizon. With one deterministic token committed per request per
-// iteration, nothing the scheduler or the admission logic observes can
-// change inside the window — so the window's interior needs no per-request
-// commit walk, only the closed-form-per-iteration pricing (the attention
-// term grows linearly in ΣkvLen, an arithmetic series walked with the exact
-// float operations of the reference path so every trace entry, energy
-// charge and clock value stays bit-identical to K single Steps).
-// Per-request bookkeeping is applied once, in bulk, at the window's end.
-func (s *Stepper) macroStep(nextArrival units.Seconds) (StepInfo, error) {
+// macroStep is the fast path's decode routine: it fast-forwards a run of
+// identical-RLP iterations inside one Step call, bounded by the earliest
+// finish, the caller-computed admission bound (macroArrivalBound) and the
+// horizon. The window always runs at least one iteration. One Decide covers
+// the whole window: with RLP and TLP frozen, every interior iteration would
+// reach the same placement with no reschedule, so the scheduler is advanced
+// in bulk (Repeat) when the window closes, and — decisively for the cluster
+// driver — the window is one event-kernel step instead of one per
+// iteration. Each iteration is priced by runIterationFast with the exact
+// float operations of the reference path, so every trace entry, energy
+// charge and clock value stays bit-identical to single-stepping.
+//
+// TLP only decides how tokens commit. With TLP = 1 commits are
+// deterministic — one token per request per iteration — so nothing the
+// scheduler or the admission logic observes can change inside the window:
+// the interior needs no per-request commit walk, and per-request
+// bookkeeping is applied once, in bulk, at the window's end. Speculative
+// decoding (TLP > 1) draws per-request acceptance samples from the engine's
+// RNG, so the reference commit walk runs every iteration, replaying the
+// exact draw sequence, and the first finish ends the window because the
+// iterations after it would run at a smaller RLP.
+func (s *Stepper) macroStep(bound units.Seconds) (StepInfo, error) {
 	rlp := len(s.active)
-	// Iterations until the earliest finish: the window's hard bound, so
-	// completions (and the StepInfo.Finished hook) land on their exact
-	// iteration.
+	spec := s.eng.Opt.TLP > 1
+	// With TLP = 1 every iteration commits exactly one token per request, so
+	// the earliest finish lands on iteration k and completions (and the
+	// StepInfo.Finished hook) land on their exact iteration. With TLP > 1
+	// the commit walk reports the finish itself.
 	k := math.MaxInt
-	for _, r := range s.active {
-		if rem := r.OutputLen - r.generated; rem < k {
-			k = rem
+	if !spec {
+		for _, r := range s.active {
+			k = min(k, r.OutputLen-r.generated)
 		}
 	}
 
-	// One Decide covers the whole window: with RLP and TLP frozen, every
-	// interior iteration would reach the same placement with no reschedule,
-	// so the scheduler is advanced in bulk (Repeat) when the window closes.
 	ev := s.scheduler.Decide()
+	info := StepInfo{Kind: StepIteration}
 	run := 0
 	var firstClock units.Seconds
-	var last IterationStat
 	for {
+		var pre TimeBreakdown
+		if s.perturbed {
+			pre = s.res.Breakdown
+		}
 		it := s.eng.runIterationFast(rlp, s.kvSum, ev, &s.res)
-		s.res.Iterations++
-		if len(s.res.RLPTrace) < traceCap {
-			s.res.RLPTrace = append(s.res.RLPTrace, rlp)
+		if s.perturbed {
+			s.stretch(&it, pre)
 		}
-		if s.static {
-			s.clock = s.res.PrefillTime + s.res.DecodeTime
-		} else {
-			s.clock += it.Time
-		}
+		s.tick(it)
 		run++
-		s.kvSum += rlp // every live request grew by its committed token
-		it.Tokens = rlp
 		if run == 1 {
 			firstClock = s.clock
 		}
-		if len(s.res.IterStats) < traceCap {
-			s.res.IterStats = append(s.res.IterStats, it)
-		}
-		last = it
-		if run == k || nextArrival <= s.clock || s.clock >= s.horizon {
-			break
-		}
-		ev.Iteration++
-	}
-	s.scheduler.Repeat(run - 1)
-
-	// Bulk-commit the window: each request gained one token per iteration;
-	// only the final iteration can have finished requests (those whose
-	// remaining output equalled the window length).
-	info := StepInfo{Kind: StepIteration, Iteration: last}
-	s.res.Tokens += run * rlp
-	eos := 0
-	// Lease growth replays the reference path's allocator schedule in two
-	// phases. Interior iterations free nothing (commits only land on the
-	// final iteration), so their per-step, per-lease block allocations all
-	// draw on the same monotonically shrinking hot tier — any order pops
-	// the same idle blocks, and one bulk Extend per lease to the
-	// penultimate context reproduces the state exactly. The final
-	// iteration is different: the reference loop interleaves each lease's
-	// growth with finished leases' Commits, whose freed blocks are
-	// allocatable to the leases after them, so it must be replayed in
-	// active order below, not folded into the bulk phase.
-	if s.kvStore != nil && run > 1 {
-		for _, r := range s.active {
-			if err := s.kvStore.Extend(r.lease, r.contextLen()+run-1); err != nil {
+		var finished bool // the first finish ends the window
+		if spec {
+			if err := s.commitWalk(&it, &info); err != nil {
 				return StepInfo{}, err
 			}
-		}
-	}
-	for _, r := range s.active {
-		r.iterations += run
-		r.generated += run
-		if s.kvStore != nil {
-			if err := s.kvStore.Extend(r.lease, r.contextLen()); err != nil {
-				return StepInfo{}, err
-			}
-		}
-		epoch := units.Seconds(0)
-		if !s.static {
-			epoch = r.Arrival
-		}
-		s.tracker.observeRun(r, run, firstClock, s.clock, epoch)
-		if r.generated >= r.OutputLen {
-			r.done = true
-			eos++
-			info.Finished = append(info.Finished, r.Request)
-			s.kvSum -= r.InputLen + r.generated
-			s.kvDemandAll -= r.kvBytes
-			s.kvDemandActive -= r.kvBytes
-			s.countClass(r.Class, &s.actInteractive, &s.actBatch, -1)
-			if s.kvStore != nil {
-				s.kvStore.Commit(r.lease)
-			}
-		}
-	}
-	if err := s.scheduler.ObserveEOS(eos); err != nil {
-		return StepInfo{}, err
-	}
-	info.Completed = eos
-	if eos > 0 {
-		s.active = live(s.active)
-	}
-	return info, nil
-}
-
-// macroStepSpec is macroStep's speculative-decoding (TLP > 1) counterpart:
-// it fast-forwards a run of identical-RLP iterations inside one Step call,
-// bounded by the first finish, the caller-computed admission bound
-// (macroArrivalBound), and the horizon. Unlike TLP = 1, commits are
-// stochastic — each iteration draws per-request acceptance samples from the
-// engine's RNG — so the interior cannot be bulk-committed: the reference
-// path's commit walk runs every iteration, in active order, replaying the
-// exact draw sequence. What the window saves is everything around it: one
-// Decide plus a bulk Repeat instead of per-iteration scheduling (RLP and
-// TLP are frozen, so every interior Decide would reach the same placement),
-// no per-iteration admission scan, and — decisively for the cluster driver
-// — one event-kernel step per window instead of per iteration. A finish
-// ends the window immediately because the iterations after it would run at
-// a smaller RLP.
-func (s *Stepper) macroStepSpec(nextArrival units.Seconds) (StepInfo, error) {
-	rlp := len(s.active)
-	ev := s.scheduler.Decide()
-	run := 0
-	info := StepInfo{Kind: StepIteration}
-	eos := 0
-	for {
-		it := s.eng.runIterationFast(rlp, s.kvSum, ev, &s.res)
-		s.res.Iterations++
-		if len(s.res.RLPTrace) < traceCap {
-			s.res.RLPTrace = append(s.res.RLPTrace, rlp)
-		}
-		if s.static {
-			// Recompute rather than accumulate so the clock matches the
-			// summed phase times bit-for-bit.
-			s.clock = s.res.PrefillTime + s.res.DecodeTime
+			finished = info.Completed > 0
 		} else {
-			s.clock += it.Time
-		}
-		run++
-
-		// The reference path's per-iteration commit walk, verbatim: the RNG
-		// draw order (active order, one burst per request) is part of the
-		// bit-identical contract.
-		for _, r := range s.active {
-			committed := s.eng.commitTokens(r)
-			s.res.Tokens += committed
-			it.Tokens += committed
-			s.kvSum += committed
-			if s.kvStore != nil {
-				if err := s.kvStore.Extend(r.lease, r.contextLen()); err != nil {
-					return StepInfo{}, err
-				}
-			}
-			epoch := units.Seconds(0)
-			if !s.static {
-				epoch = r.Arrival
-			}
-			s.tracker.observe(r, committed, s.clock, epoch)
-			if r.done {
-				eos++
-				info.Finished = append(info.Finished, r.Request)
-				s.kvSum -= r.InputLen + r.generated
-				s.kvDemandAll -= r.kvBytes
-				s.kvDemandActive -= r.kvBytes
-				s.countClass(r.Class, &s.actInteractive, &s.actBatch, -1)
-				if s.kvStore != nil {
-					s.kvStore.Commit(r.lease)
-				}
-			}
+			s.kvSum += rlp // every live request grew by its committed token
+			it.Tokens = rlp
+			finished = run == k
 		}
 		if len(s.res.IterStats) < traceCap {
 			s.res.IterStats = append(s.res.IterStats, it)
 		}
 		info.Iteration = it
-		if eos > 0 || nextArrival <= s.clock || s.clock >= s.horizon {
+		if finished || bound <= s.clock || s.clock >= s.horizon {
 			break
 		}
 		ev.Iteration++
 	}
 	s.scheduler.Repeat(run - 1)
+
+	if !spec {
+		// Bulk-commit the window: each request gained one token per
+		// iteration; only the final iteration can have finished requests
+		// (those whose remaining output equalled the window length).
+		s.res.Tokens += run * rlp
+		// Lease growth replays the reference path's allocator schedule in two
+		// phases. Interior iterations free nothing (commits only land on the
+		// final iteration), so their per-step, per-lease block allocations all
+		// draw on the same monotonically shrinking hot tier — any order pops
+		// the same idle blocks, and one bulk Extend per lease to the
+		// penultimate context reproduces the state exactly. The final
+		// iteration is different: the reference loop interleaves each lease's
+		// growth with finished leases' Commits, whose freed blocks are
+		// allocatable to the leases after them, so it must be replayed in
+		// active order below, not folded into the bulk phase.
+		if s.kvStore != nil && run > 1 {
+			for _, r := range s.active {
+				if err := s.kvStore.Extend(r.lease, r.contextLen()+run-1); err != nil {
+					return StepInfo{}, err
+				}
+			}
+		}
+		for _, r := range s.active {
+			r.iterations += run
+			r.generated += run
+			if s.kvStore != nil {
+				if err := s.kvStore.Extend(r.lease, r.contextLen()); err != nil {
+					return StepInfo{}, err
+				}
+			}
+			s.tracker.observeRun(r, run, firstClock, s.clock, s.epoch(r))
+			if r.generated >= r.OutputLen {
+				r.done = true
+				s.retire(r, &info)
+			}
+		}
+	}
 	// Interior iterations had no completions, so their reference-path
 	// ObserveEOS(0) calls were no-ops; one call at the window's end is
 	// equivalent.
-	if err := s.scheduler.ObserveEOS(eos); err != nil {
+	if err := s.scheduler.ObserveEOS(info.Completed); err != nil {
 		return StepInfo{}, err
 	}
-	info.Completed = eos
-	if eos > 0 {
+	if info.Completed > 0 {
 		s.active = live(s.active)
 	}
 	return info, nil
