@@ -169,7 +169,7 @@ type scaler struct {
 // samples buffer on the replica — the sharded parallel phase may run this
 // for distinct replicas concurrently, so nothing shared is written here —
 // and the control tick merges the buffers in replica order.
-func (s *scaler) observeStep(rep *Replica, info serving.StepInfo) {
+func (s *scaler) observeStep(rep *Replica, info *serving.StepInfo) {
 	for _, req := range info.Finished {
 		if req.Class != workload.ClassInteractive {
 			continue

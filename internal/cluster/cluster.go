@@ -35,7 +35,7 @@ import (
 	"reflect"
 	"sort"
 	"strings"
-	"sync"
+	"sync/atomic"
 
 	"github.com/papi-sim/papi/internal/core"
 	"github.com/papi-sim/papi/internal/design"
@@ -483,10 +483,11 @@ type fleetRun struct {
 	// due is the barrier driver's scratch list of armed replicas, reused
 	// across barriers so the hot loop does not allocate.
 	due []*Replica
-	// pool is the driver's persistent worker pool, started lazily on the
-	// first multi-replica phase and retired when the drain finishes. barrier
-	// carries the phase's synchronization instant to the workers; it is
-	// written before the phase's job sends, which happen-before the reads.
+	// pool is the driver's persistent caller-runs pool, started lazily on
+	// the first multi-replica phase and retired when the drain finishes.
+	// barrier carries the phase's synchronization instant to the workers;
+	// it is written before the dispatch publishes its batch, which
+	// happens-before every claim of the phase.
 	pool    *shardPool
 	barrier units.Seconds
 }
@@ -682,7 +683,7 @@ func (r *fleetRun) stepReplica(rep *Replica, now units.Seconds) {
 		return
 	}
 	if r.scaler != nil {
-		r.scaler.observeStep(rep, info)
+		r.scaler.observeStep(rep, &info)
 	}
 	if r.resil != nil {
 		if r.sharded {
@@ -702,7 +703,7 @@ func (r *fleetRun) stepReplica(rep *Replica, now units.Seconds) {
 			r.onFinish(rep, req)
 		}
 	}
-	r.harvest(rep, info)
+	r.harvest(rep, &info)
 	if info.Kind == serving.StepDrained {
 		return
 	}
@@ -713,7 +714,7 @@ func (r *fleetRun) stepReplica(rep *Replica, now units.Seconds) {
 // aggregate — the always-on constant-memory metrics path. It runs after the
 // observers, whose window signals peek at the same records: without
 // retention the engine forgets a record once taken.
-func (r *fleetRun) harvest(rep *Replica, info serving.StepInfo) {
+func (r *fleetRun) harvest(rep *Replica, info *serving.StepInfo) {
 	for _, req := range info.Finished {
 		if rm, ok := rep.stepper.TakeMetrics(req.ID); ok {
 			rep.agg.observe(rm)
@@ -896,50 +897,86 @@ func (r *fleetRun) stepsPending() bool {
 	return false
 }
 
-// shardPool is the sharded driver's persistent worker pool: barriers arrive
-// at arrival cadence (a million times per million-request run), so the
-// workers outlive the barriers instead of being spawned per phase. fn must
-// write only replica-local state, so the outcome is independent of goroutine
+// shardPool is the sharded driver's persistent caller-runs pool: barriers
+// arrive at arrival cadence (a million times per million-request run), so
+// the helpers outlive the barriers instead of being spawned per phase. A
+// dispatch publishes its batch, wakes each helper at most once, and works
+// the batch itself; every worker claims items by index with one atomic
+// decrement, so no item crosses a channel. fn must write only
+// replica-local state, so the outcome is independent of goroutine
 // scheduling and the parallel drive is indistinguishable from the serial
 // loop.
 type shardPool struct {
-	jobs chan *Replica
-	wg   sync.WaitGroup
-	// panics holds the first worker panic of a dispatch; dispatch re-raises
+	fn func(*Replica)
+	// items is the current batch, written before unclaimed publishes it.
+	items []*Replica
+	// unclaimed counts the batch's items no worker has claimed yet. A
+	// claim decrements it and takes items[len(items)-1-result]; a negative
+	// result means the batch is fully claimed, so a helper that wakes late
+	// claims nothing and nobody waits on it. left counts unfinished items.
+	unclaimed atomic.Int64
+	left      atomic.Int64
+	// wake holds one capacity-1 channel per helper; a full one means the
+	// helper is already due to look for work.
+	wake []chan struct{}
+	// last carries the token of a helper that finished a batch's last item.
+	last chan struct{}
+	// panics holds the first item panic of a dispatch; dispatch re-raises
 	// it on the caller.
 	panics chan any
-	fn     func(*Replica)
 }
 
-// newShardPool starts `workers` persistent workers running fn.
+// newShardPool starts a pool of `workers` workers running fn: workers−1
+// persistent helpers plus the dispatching caller.
 func newShardPool(workers int, fn func(*Replica)) *shardPool {
 	if workers < 2 {
 		workers = 2
 	}
-	p := &shardPool{jobs: make(chan *Replica, 4*workers), panics: make(chan any, 1), fn: fn}
-	parallelMap(p, workers)
+	p := &shardPool{fn: fn, wake: make([]chan struct{}, workers-1),
+		last: make(chan struct{}, 1), panics: make(chan any, 1)}
+	for i := range p.wake {
+		p.wake[i] = make(chan struct{}, 1)
+	}
+	parallelMap(p)
 	return p
 }
 
-// parallelMap launches the pool's workers — the one construct the
+// parallelMap launches the pool's helpers — the one construct the
 // deterministic packages may spawn goroutines in (papivet pins this).
-func parallelMap(p *shardPool, workers int) {
-	for w := 0; w < workers; w++ {
-		go p.worker()
+func parallelMap(p *shardPool) {
+	for _, wake := range p.wake {
+		go p.help(wake)
 	}
 }
 
-// worker drains jobs until the pool closes. Every job signals the dispatch
-// WaitGroup exactly once, panic or not — a stuck dispatch would deadlock the
-// whole run.
-func (p *shardPool) worker() {
-	for rep := range p.jobs {
-		p.run(rep)
+// help works the current batch on every wake until the pool closes, and
+// hands the batch's end to the caller when it finished the last item.
+func (p *shardPool) help(wake <-chan struct{}) {
+	for range wake {
+		if p.work() {
+			p.last <- struct{}{}
+		}
 	}
 }
 
-func (p *shardPool) run(rep *Replica) {
-	defer p.wg.Done()
+// work claims and runs items until none is left to claim, and reports
+// whether it finished the batch's last item.
+func (p *shardPool) work() bool {
+	for {
+		i := p.unclaimed.Add(-1)
+		if i < 0 {
+			return false
+		}
+		if p.run(p.items[int64(len(p.items))-1-i]) {
+			return true
+		}
+	}
+}
+
+// run runs one claimed item and reports whether it was the batch's last to
+// finish. Every item counts down exactly once, panic or not — a batch that
+// never finishes would deadlock the whole run.
+func (p *shardPool) run(rep *Replica) (last bool) {
 	defer func() {
 		if v := recover(); v != nil {
 			// Keep only the first panic; a worker must never block here.
@@ -948,18 +985,28 @@ func (p *shardPool) run(rep *Replica) {
 			default:
 			}
 		}
+		last = p.left.Add(-1) == 0
 	}()
 	p.fn(rep)
+	return false
 }
 
 // dispatch runs fn over the batch and returns once every item finished,
-// re-raising the first worker panic on the caller.
+// re-raising the first item panic on the caller. The caller works the batch
+// alongside the helpers and waits only when a helper holds the last item.
 func (p *shardPool) dispatch(reps []*Replica) {
-	p.wg.Add(len(reps))
-	for _, rep := range reps {
-		p.jobs <- rep
+	p.items = reps
+	p.left.Store(int64(len(reps)))
+	p.unclaimed.Store(int64(len(reps)))
+	for _, wake := range p.wake {
+		select {
+		case wake <- struct{}{}:
+		default:
+		}
 	}
-	p.wg.Wait()
+	if !p.work() {
+		<-p.last
+	}
 	select {
 	case v := <-p.panics:
 		panic(v)
@@ -967,8 +1014,12 @@ func (p *shardPool) dispatch(reps []*Replica) {
 	}
 }
 
-// close retires the workers (idempotent is not needed: drain calls it once).
-func (p *shardPool) close() { close(p.jobs) }
+// close retires the helpers (idempotent is not needed: drain calls it once).
+func (p *shardPool) close() {
+	for _, wake := range p.wake {
+		close(wake)
+	}
+}
 
 // Run consumes the request stream to completion and returns fleet metrics.
 // It may be called once per Cluster. It is RunSeq over a copy of the stream
