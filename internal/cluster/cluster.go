@@ -254,6 +254,52 @@ type Replica struct {
 	// (their grown KV context lives here, and follow-ups must come back).
 	// The autoscaler never drains a replica while it holds one.
 	holds int
+	// followUps holds the arrival instants of the closed-loop follow-ups
+	// pinned to this replica that have not fired yet — the only events
+	// besides first turns and control ticks that can reach it in a
+	// fault-free RunPlan, so its earliest entry bounds the replica's
+	// macro-stepping horizon there.
+	followUps instantHeap
+}
+
+// instantHeap is a binary min-heap of simulated instants.
+type instantHeap []units.Seconds
+
+// push adds t.
+func (h *instantHeap) push(t units.Seconds) {
+	*h = append(*h, t)
+	q := *h
+	for i := len(q) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if q[parent] <= q[i] {
+			break
+		}
+		q[i], q[parent] = q[parent], q[i]
+		i = parent
+	}
+}
+
+// pop removes the earliest instant; the heap must not be empty.
+func (h *instantHeap) pop() {
+	q := *h
+	n := len(q) - 1
+	q[0] = q[n]
+	q = q[:n]
+	*h = q
+	for i := 0; ; {
+		m, l := i, 2*i+1
+		if l < n && q[l] < q[m] {
+			m = l
+		}
+		if r := l + 1; r < n && q[r] < q[m] {
+			m = r
+		}
+		if m == i {
+			return
+		}
+		q[i], q[m] = q[m], q[i]
+		i = m
+	}
 }
 
 // Outstanding counts the replica's admitted-but-unfinished plus queued
@@ -447,7 +493,7 @@ type fleetRun struct {
 	// scaler is the elastic control loop; nil for static fleets.
 	scaler *scaler
 	// nextTick is the next autoscaler control instant (+Inf when none) —
-	// part of the open-loop macro-stepping horizon, since a control tick
+	// part of every fault-free macro-stepping horizon, since a control tick
 	// reads every replica's signals.
 	nextTick units.Seconds
 	// stream records every request actually injected, in injection order —
@@ -467,13 +513,16 @@ type fleetRun struct {
 	onCrash   func(rep *Replica, now units.Seconds)
 	onRequeue func(id int, rep *Replica)
 	// horizon returns the earliest future instant at which an event outside
-	// a replica's own stepping can interact with it — the bound a replica's
+	// the given replica's own stepping can interact with it — the bound its
 	// fast-path macro-stepping must not cross (see Stepper.SetHorizon). The
 	// default bounds by the kernel's next pending event, which is always
-	// safe: new events are only scheduled at or after it. RunSeq tightens
-	// this to the next unfired arrival (and, when autoscaling, the next
-	// control tick), since open-loop step events never touch other replicas.
-	horizon func() units.Seconds
+	// safe: new events are only scheduled at or after it. Fault-free runs
+	// tighten it to the events that can actually reach the replica: RunSeq
+	// to the next unfired arrival (and, when autoscaling, the next control
+	// tick), ignoring the replica, since open-loop step events never touch
+	// other replicas; RunPlan additionally to the earliest pending follow-up
+	// pinned to that replica, since a follow-up reaches no other.
+	horizon func(*Replica) units.Seconds
 	// sharded moves replica step events off the kernel: between kernel
 	// events (the fleet-level synchronization barriers) every armed replica
 	// is driven in parallel on up to shards goroutines, with identical
@@ -505,7 +554,7 @@ func (c *Cluster) newFleetRun() (*fleetRun, error) {
 		}
 	}
 	r.rebuildEligible()
-	r.horizon = func() units.Seconds {
+	r.horizon = func(*Replica) units.Seconds {
 		if t, ok := r.kernel.NextAt(); ok {
 			return t
 		}
@@ -676,7 +725,7 @@ func (r *fleetRun) stepReplica(rep *Replica, now units.Seconds) {
 		return
 	}
 	rep.stepper.AdvanceTo(now)
-	rep.stepper.SetHorizon(r.horizon())
+	rep.stepper.SetHorizon(r.horizon(rep))
 	info, err := rep.stepper.Step()
 	if err != nil {
 		rep.err = err
@@ -1076,7 +1125,7 @@ func (c *Cluster) RunSeq(next func() (workload.Request, bool)) (*FleetResult, er
 	// failure machinery armed keeps the default horizon.
 	nextArrival := units.Seconds(math.Inf(1))
 	if r.resil == nil {
-		r.horizon = func() units.Seconds { return min(r.nextTick, nextArrival) }
+		r.horizon = func(*Replica) units.Seconds { return min(r.nextTick, nextArrival) }
 	}
 
 	total := 0
@@ -1155,6 +1204,16 @@ type convState struct {
 // without it, the full history is re-prefilled each turn — an upper bound
 // docs/SCENARIOS.md records. RunPlan may be called once per Cluster, in
 // place of Run.
+//
+// A fault-free run macro-steps each replica under a closed-loop lookahead:
+// a follow-up only reaches the replica its conversation is pinned to, so a
+// replica's horizon is the earliest of the next first-turn arrival (routing
+// reads every replica), the next control tick, and its own earliest pending
+// follow-up — not the kernel's next event of any kind, which is almost
+// always another replica's step. First turns enter the kernel through a
+// lazy cursor: one event at a time, each posting its successor under a
+// sequence number reserved up front, so the event order is exactly that of
+// scheduling them all at the start.
 func (c *Cluster) RunPlan(convs []workload.Conversation) (*FleetResult, error) {
 	if c.ran {
 		return nil, fmt.Errorf("cluster: Run may only be called once per cluster")
@@ -1181,11 +1240,14 @@ func (c *Cluster) RunPlan(convs []workload.Conversation) (*FleetResult, error) {
 		return nil, err
 	}
 
-	states := make([]*convState, len(convs))
-	byReq := make(map[int]*convState)
+	// Request IDs are dense — turn k of a conversation is its baseID + k —
+	// so byReq is a slice over [0, total turns), set as each turn launches.
+	total := workload.TotalTurns(convs)
+	states := make([]convState, len(convs))
+	byReq := make([]*convState, total)
 	nextID := 0
 	for i, conv := range convs {
-		states[i] = &convState{conv: conv, baseID: nextID}
+		states[i] = convState{conv: conv, baseID: nextID}
 		nextID += len(conv.Turns)
 	}
 
@@ -1194,15 +1256,15 @@ func (c *Cluster) RunPlan(convs []workload.Conversation) (*FleetResult, error) {
 	// retried turn re-pins its conversation to the survivor it lands on,
 	// which re-prefills the carried context.
 	r.onCrash = func(rep *Replica, now units.Seconds) {
-		for _, st := range states {
-			if st.rep == rep {
-				st.rep = nil
+		for i := range states {
+			if states[i].rep == rep {
+				states[i].rep = nil
 			}
 		}
 	}
 	r.onRequeue = func(id int, rep *Replica) {
-		st, ok := byReq[id]
-		if !ok || st.rep == rep {
+		st := byReq[id]
+		if st == nil || st.rep == rep {
 			return
 		}
 		if st.rep != nil {
@@ -1219,8 +1281,8 @@ func (c *Cluster) RunPlan(convs []workload.Conversation) (*FleetResult, error) {
 	// later, on the same replica. A finished conversation releases its hold
 	// on the replica, making it drainable again.
 	r.onFinish = func(rep *Replica, req workload.Request) {
-		st, ok := byReq[req.ID]
-		if !ok {
+		st := byReq[req.ID]
+		if st == nil {
 			return
 		}
 		if st.next >= len(st.conv.Turns) {
@@ -1242,12 +1304,14 @@ func (c *Cluster) RunPlan(convs []workload.Conversation) (*FleetResult, error) {
 		}
 		st.next++
 		byReq[follow.ID] = st
+		rep.followUps.push(follow.Arrival)
 		r.kernel.At(follow.Arrival, func(now units.Seconds) {
+			rep.followUps.pop()
 			if r.err != nil {
 				return
 			}
-			rep := st.rep
-			if rep == nil || rep.state == repFailed || rep.state == repStopped {
+			pinned := st.rep
+			if pinned == nil || pinned.state == repFailed || pinned.state == repStopped {
 				// The pinned replica died between turns: route the
 				// follow-up like a fresh arrival and re-pin the
 				// conversation to wherever it lands.
@@ -1260,11 +1324,13 @@ func (c *Cluster) RunPlan(convs []workload.Conversation) (*FleetResult, error) {
 				}
 				return
 			}
-			r.inject(rep, follow, now)
+			r.inject(pinned, follow, now)
 		})
 	}
 
-	// First turns are open-loop arrivals, scheduled up front in plan order.
+	// First turns are open-loop arrivals in plan order, fed to the kernel by
+	// one cursor event: launching first turn k posts turn k+1 under the
+	// sequence number scheduling all of them here would have given it.
 	order := make([]int, len(states))
 	for i := range order {
 		order[i] = i
@@ -1272,11 +1338,36 @@ func (c *Cluster) RunPlan(convs []workload.Conversation) (*FleetResult, error) {
 	sort.SliceStable(order, func(a, b int) bool {
 		return states[order[a]].conv.Arrival < states[order[b]].conv.Arrival
 	})
-	for _, i := range order {
-		st := states[i]
-		at := st.conv.Arrival
-		if at < 0 {
-			at = 0
+	inf := units.Seconds(math.Inf(1))
+	nextFirst := inf
+	if r.resil == nil {
+		// Fault edges, timeouts and retry re-injections are kernel events
+		// that can reach any replica, so a run with the failure machinery
+		// armed keeps the default horizon.
+		r.horizon = func(rep *Replica) units.Seconds {
+			h := min(r.nextTick, nextFirst)
+			if len(rep.followUps) > 0 {
+				h = min(h, rep.followUps[0])
+			}
+			return h
+		}
+	}
+	base := r.kernel.Reserve(len(order))
+	cursor := 0
+	var launchFirst sim.Event
+	post := func() {
+		nextFirst = max(states[order[cursor]].conv.Arrival, 0)
+		r.kernel.AtSeq(nextFirst, base+uint64(cursor)+1, launchFirst)
+	}
+	launchFirst = func(now units.Seconds) {
+		if r.err != nil {
+			return
+		}
+		st := &states[order[cursor]]
+		if cursor++; cursor < len(order) {
+			post()
+		} else {
+			nextFirst = inf
 		}
 		first := workload.Request{
 			ID:           st.baseID,
@@ -1289,20 +1380,16 @@ func (c *Cluster) RunPlan(convs []workload.Conversation) (*FleetResult, error) {
 		}
 		st.next = 1
 		byReq[first.ID] = st
-		r.kernel.At(at, func(now units.Seconds) {
-			if r.err != nil {
-				return
-			}
-			st.rep = r.route(first, now)
-			if st.rep != nil {
-				st.rep.holds++
-			}
-		})
+		st.rep = r.route(first, now)
+		if st.rep != nil {
+			st.rep.holds++
+		}
 	}
+	post()
 
 	r.drain()
 	if r.err != nil {
 		return nil, r.err
 	}
-	return aggregate(r, workload.TotalTurns(convs))
+	return aggregate(r, total)
 }

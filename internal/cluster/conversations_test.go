@@ -5,7 +5,9 @@ import (
 	"testing"
 
 	"github.com/papi-sim/papi/internal/core"
+	"github.com/papi-sim/papi/internal/kv"
 	"github.com/papi-sim/papi/internal/model"
+	"github.com/papi-sim/papi/internal/serving"
 	"github.com/papi-sim/papi/internal/units"
 	"github.com/papi-sim/papi/internal/workload"
 )
@@ -204,4 +206,47 @@ func TestRunPlanStreamKeepsConversationStructure(t *testing.T) {
 	if !reflect.DeepEqual(back.Workload(), f.Stream) {
 		t.Fatal("conversation structure lost in trace round-trip")
 	}
+}
+
+// BenchmarkRunPlan drives the closed-loop chat regime end to end: four
+// PAPI/LLaMA-65B replicas with block-level KV prefix sharing serve a
+// preloaded chat-multiturn plan of 3k conversations, every follow-up pinned
+// to the replica holding its context. ns/turn is the fleet's host cost per
+// served turn, closed-loop lookahead and first-turn cursor included.
+func BenchmarkRunPlan(b *testing.B) {
+	sc, err := workload.ScenarioByName(workload.ScenarioChatMultiTurn)
+	if err != nil {
+		b.Fatal(err)
+	}
+	plan, err := sc.Plan(3_000, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	turns := workload.TotalTurns(plan)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for it := 0; it < b.N; it++ {
+		b.StopTimer()
+		opt := serving.DefaultOptions(1)
+		opt.KV = &kv.Options{BlockTokens: 32, Sharing: true, ColdFactor: 4}
+		c, err := NewByName("PAPI", model.LLaMA65B(), Options{
+			Replicas: 4,
+			MaxBatch: 16,
+			Router:   LeastOutstanding(),
+			Serving:  opt,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		f, err := c.RunPlan(plan)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if f.Completed != turns {
+			b.Fatalf("completed %d of %d turns", f.Completed, turns)
+		}
+	}
+	b.ReportMetric(float64(turns), "turns/op")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*turns), "ns/turn")
 }

@@ -126,6 +126,35 @@ func (e *Engine) At(t units.Seconds, fn Event) {
 	e.events.push(item{at: t, seq: e.seq, fn: fn})
 }
 
+// Reserve sets aside the next n sequence numbers and returns the number just
+// before them: the events At would have numbered base+1 … base+n had they
+// been scheduled now. A driver that feeds a long, already ordered event
+// series lazily — posting each event from its predecessor with AtSeq —
+// keeps the exact (at, seq) pop order of scheduling the whole series up
+// front, ties with every other event included, while the queue holds one
+// of them at a time.
+func (e *Engine) Reserve(n int) uint64 {
+	if n < 0 {
+		panic(fmt.Sprintf("sim: reserving %d sequence numbers", n))
+	}
+	base := e.seq
+	e.seq += uint64(n)
+	return base
+}
+
+// AtSeq schedules fn at the absolute instant t under a sequence number
+// taken from Reserve. Like At it panics on an instant in the past, and it
+// panics on a number Reserve never handed out.
+func (e *Engine) AtSeq(t units.Seconds, seq uint64, fn Event) {
+	if t < e.now {
+		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
+	}
+	if seq == 0 || seq > e.seq {
+		panic(fmt.Sprintf("sim: sequence number %d was never reserved", seq))
+	}
+	e.events.push(item{at: t, seq: seq, fn: fn})
+}
+
 // After schedules fn to run d after the current instant.
 func (e *Engine) After(d units.Seconds, fn Event) {
 	if d < 0 {

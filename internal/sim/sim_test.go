@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -82,6 +83,89 @@ func TestSchedulingInPastPanics(t *testing.T) {
 		}
 	}()
 	e.At(units.Seconds(1), func(units.Seconds) {})
+}
+
+func TestAtSeqInPastPanics(t *testing.T) {
+	e := New()
+	e.At(units.Seconds(2), func(units.Seconds) {})
+	e.Run()
+	base := e.Reserve(1)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("AtSeq in the past should panic")
+		}
+	}()
+	e.AtSeq(units.Seconds(1), base+1, func(units.Seconds) {})
+}
+
+func TestAtSeqUnreservedPanics(t *testing.T) {
+	e := New()
+	base := e.Reserve(2)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("AtSeq with a number Reserve never handed out should panic")
+		}
+	}()
+	e.AtSeq(units.Seconds(1), base+3, func(units.Seconds) {})
+}
+
+// Property: a sorted event series posted lazily under reserved sequence
+// numbers — each event posting its successor — pops in exactly the order of
+// scheduling the whole series up front with At, including exact ties with
+// events scheduled before the reservation, after it, and from inside
+// callbacks at the current instant.
+func TestReservedSeqMatchesUpFront(t *testing.T) {
+	run := func(seed int64, lazy bool) []int {
+		rng := rand.New(rand.NewSource(seed))
+		// Integer instants over a short span make exact ties the common case.
+		instant := func() units.Seconds { return units.Seconds(rng.Intn(8)) }
+		e := New()
+		var log []int
+		background := func(label int) {
+			at, delay := instant(), units.Seconds(rng.Intn(2))
+			e.At(at, func(now units.Seconds) {
+				log = append(log, label)
+				e.At(now+delay, func(units.Seconds) { log = append(log, -label) })
+			})
+		}
+		for i := 1; i <= 15; i++ {
+			background(i)
+		}
+		series := make([]units.Seconds, 40)
+		for k := range series {
+			series[k] = instant()
+		}
+		sort.Slice(series, func(i, j int) bool { return series[i] < series[j] })
+		const seriesLabel = 1000
+		if lazy {
+			base := e.Reserve(len(series))
+			var post func(k int)
+			post = func(k int) {
+				e.AtSeq(series[k], base+uint64(k)+1, func(units.Seconds) {
+					log = append(log, seriesLabel+k)
+					if k+1 < len(series) {
+						post(k + 1)
+					}
+				})
+			}
+			post(0)
+		} else {
+			for k, at := range series {
+				e.At(at, func(units.Seconds) { log = append(log, seriesLabel+k) })
+			}
+		}
+		for i := 16; i <= 30; i++ {
+			background(i)
+		}
+		e.Run()
+		return log
+	}
+	for seed := int64(1); seed <= 50; seed++ {
+		upFront, lazy := run(seed, false), run(seed, true)
+		if len(upFront) != 100 || !reflect.DeepEqual(upFront, lazy) {
+			t.Fatalf("seed %d: lazy order diverged\n up front: %v\n     lazy: %v", seed, upFront, lazy)
+		}
+	}
 }
 
 func TestNegativeDelayPanics(t *testing.T) {

@@ -28,11 +28,11 @@ cd "$(dirname "$0")/.."
         -benchmem -benchtime "${BENCHTIME:-50x}" "$@" .
     go test -run '^$' -bench 'BenchmarkMillionRequest' -benchmem -benchtime 1x "$@" .
     # Layer benchmarks live in their own packages. One pass of the
-    # 60k-request admission stream takes about a second, and one pass of
-    # the 20k-request shard-barrier fleet a third of one, hence the low
-    # counts.
+    # 60k-request admission stream takes about a second, one pass of the
+    # 20k-request shard-barrier fleet a third of one, and one pass of the
+    # 3k-conversation closed-loop plan about a tenth, hence the low counts.
     go test -run '^$' -bench 'BenchmarkStreamAdmission' -benchmem -benchtime 3x "$@" ./internal/serving
-    go test -run '^$' -bench 'BenchmarkShardBarrier' -benchmem -benchtime 5x "$@" ./internal/cluster
+    go test -run '^$' -bench 'BenchmarkShardBarrier|BenchmarkRunPlan' -benchmem -benchtime 5x "$@" ./internal/cluster
 } \
     | tee /dev/stderr \
     | go run ./cmd/benchjson > "BENCH_PR${PR}.json"
